@@ -15,9 +15,10 @@
 //! Records throughput and the client-observed latency distribution
 //! (p50/p99) per transport in `BENCH_wire.json`. Gates: progress on
 //! both transports, a tcp/mem throughput-ratio floor (default 0.2, a
-//! regression backstop under the ~0.39 measured band; override with
-//! `WIRE_MIN_RATIO`), and — on full runs — the sim prediction landing
-//! within a small factor of the measured tcp row.
+//! regression backstop under the band measured on a 2-vCPU VM: ~0.22
+//! full, ~0.16–0.29 smoke; override with `WIRE_MIN_RATIO`), and — on
+//! full runs — the sim prediction landing within a small factor of the
+//! measured tcp row.
 //!
 //! Usage: `exp_wire [--smoke] [--out PATH]`
 
@@ -240,10 +241,12 @@ fn main() {
     }
 
     // Gate 2: the tcp/mem throughput ratio must not regress. The default
-    // floor is a backstop under the measured band (~0.39 full, ~0.3
-    // smoke on this single-core box, where mem's 7.5 µs/op leaves TCP's
-    // ~8 µs of unavoidable data-syscall cost nowhere to hide); CI can
-    // tighten it via WIRE_MIN_RATIO on hardware with spare cores.
+    // floor is a backstop under the measured band: on a 2-vCPU Xeon VM
+    // (~5 µs per syscall, three replicas and the clients timesharing
+    // both cores) full runs measure ~0.22 and smoke runs 0.16–0.29,
+    // median ~0.23, so a noisy-neighbour run can still dip under the
+    // floor there. CI can tighten it via WIRE_MIN_RATIO on hardware
+    // with spare cores.
     let min_ratio: f64 = std::env::var("WIRE_MIN_RATIO")
         .ok()
         .and_then(|s| s.parse().ok())

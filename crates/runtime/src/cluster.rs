@@ -97,6 +97,10 @@ pub struct NodeMetrics {
     pub conn_kills: AtomicU64,
     /// The subset of `conn_kills` caused by an undecodable frame.
     pub corrupt_frames: AtomicU64,
+    /// Listener `accept(2)` calls this replica's transport made — one
+    /// timed sweep per accept interval, so the rate tracks wall time,
+    /// not event-loop iterations.
+    pub accept_polls: AtomicU64,
     /// State snapshots this replica served to catching-up peers.
     pub snapshots_served: AtomicU64,
     /// State snapshots this replica installed — each one a catch-up
@@ -707,9 +711,10 @@ fn publish_engine_stats(stats: &EngineStats, metrics: &NodeMetrics) {
         .store(stats.finished_len as u64, Ordering::Relaxed);
 }
 
-/// Republishes a replica transport's failure counters into its shared
+/// Republishes a replica transport's lifecycle counters into its shared
 /// metrics block, so the chaos harness (and operators) can assert that
-/// links actually died and actually healed.
+/// links actually died and actually healed, and see how often the
+/// listener is swept.
 fn publish_transport_stats(stats: &TransportStats, metrics: &NodeMetrics) {
     metrics
         .reconnects
@@ -720,6 +725,9 @@ fn publish_transport_stats(stats: &TransportStats, metrics: &NodeMetrics) {
     metrics
         .corrupt_frames
         .store(stats.corrupt_frames, Ordering::Relaxed);
+    metrics
+        .accept_polls
+        .store(stats.accept_polls, Ordering::Relaxed);
 }
 
 /// Deployment knobs a replica loop needs beyond its engines, bundled so
@@ -809,10 +817,11 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
     let mut last_io = io.stats();
     loop {
         let mut progressed = io.flush();
-        // Failure counters move outside the request path (a link dying
-        // or healing is not "progress"), so compare-and-republish every
-        // iteration; `TransportStats` is `Copy` and the comparison is
-        // three integer equality checks.
+        // Lifecycle counters move outside the request path (a link
+        // dying or healing, a timed accept sweep, is not "progress"), so
+        // compare-and-republish every iteration; `TransportStats` is
+        // `Copy`, the comparison is four integer equality checks, and
+        // `accept_polls` moves at most once per accept interval.
         let io_stats = io.stats();
         if io_stats != last_io {
             publish_transport_stats(&io_stats, &metrics);

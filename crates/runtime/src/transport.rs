@@ -51,6 +51,12 @@ pub struct TransportStats {
     /// payload (a framed stream cannot be resynchronised by guessing,
     /// so the connection is cut and redialed from scratch).
     pub corrupt_frames: u64,
+    /// Listener `accept(2)` calls made by the maintenance pass. The
+    /// sweep runs at most once per accept interval and makes one call
+    /// per pending connection plus the one that finds the backlog
+    /// empty, so on an idle endpoint this grows with wall time, never
+    /// with event-loop passes.
+    pub accept_polls: u64,
 }
 
 /// The IO boundary the replica loop and client handles are written
@@ -370,6 +376,16 @@ const RECONNECT_PENDING_CAP: usize = 64;
 /// from a rogue dialer that connects and says nothing.
 const HELLO_TIMEOUT: Duration = Duration::from_millis(250);
 
+/// Interval between listener sweeps on a running transport. The sweep
+/// almost always finds the backlog empty, and at several µs per
+/// syscall an empty `accept(2)` on every flush and pump would cost more
+/// than the rest of the pass; on this timer it is one syscall per
+/// interval instead. A peer's
+/// runtime (re)connection waits at most one interval to be adopted —
+/// small next to the [`RECONNECT_BASE`]–[`RECONNECT_CAP`] redial
+/// backoff that precedes it.
+const ACCEPT_EVERY: Duration = Duration::from_millis(1);
+
 /// One nonblocking loopback connection to a peer process.
 ///
 /// Receive side: the socket reads **directly into** the [`RecvBuf`]'s
@@ -592,7 +608,10 @@ struct Redial<M> {
 /// A connection is **live** until EOF, an IO error, a corrupt frame, or
 /// an injected [`Transport::kill_peer_link`] marks it dead; the next
 /// maintenance pass (every [`Transport::flush`]/[`Transport::pump`])
-/// reaps the slot — the conn table never accumulates a graveyard. What
+/// reaps the slot — the conn table never accumulates a graveyard. The
+/// same pass fires due redials; the listener, though, is swept only
+/// once per [`ACCEPT_EVERY`], so an inbound (re)connection is adopted
+/// within one interval of landing in the backlog. What
 /// happens next depends on which side of the original handshake this
 /// endpoint was:
 ///
@@ -602,9 +621,11 @@ struct Redial<M> {
 ///   the hello-frame handshake. Frames sent meanwhile are buffered (up
 ///   to [`RECONNECT_PENDING_CAP`]) and ride the fresh connection.
 /// * **Acceptor** (the peer connected): the slot is simply purged; the
-///   peer redials through this endpoint's listener, and the accept
-///   sweep installs the replacement — superseding any stale slot for
-///   that peer.
+///   peer redials through this endpoint's listener, and the next timed
+///   accept sweep installs the replacement — superseding any stale
+///   slot for that peer. A pending connection that fails its hello
+///   (hung up, silent past [`HELLO_TIMEOUT`], bad frame) is dropped and
+///   the sweep moves on, so it never delays the good one behind it.
 ///
 /// Frames lost across the gap are covered by the trait's may-drop
 /// contract; the protocols' retransmission timers absorb the blip.
@@ -623,10 +644,13 @@ pub struct TcpTransport<M> {
     /// Peers currently between connections, waiting on a redial.
     backoff: Vec<Redial<M>>,
     /// Accept side of the reconnect lifecycle: present on replica
-    /// transports, polled nonblockingly by the maintenance pass so a
+    /// transports, swept nonblockingly by the maintenance pass so a
     /// peer (or a restarted replica's clients) can re-establish at any
     /// time — not just during setup.
     listener: Option<TcpListener>,
+    /// Earliest instant of the next listener sweep; passes before it
+    /// skip `accept(2)` entirely.
+    next_accept: Instant,
     stats: TransportStats,
     /// Jitter state for redial backoff (seeded from `me`, so the
     /// schedule is deterministic per node).
@@ -656,6 +680,7 @@ impl<M: Codec> TcpTransport<M> {
             // sweep must never stall the event loop.
             let _ = l.set_nonblocking(true);
         }
+        let now = Instant::now();
         let mut t = TcpTransport {
             me,
             conns,
@@ -665,12 +690,12 @@ impl<M: Codec> TcpTransport<M> {
             dial_addrs,
             backoff: Vec::new(),
             listener,
+            next_accept: now,
             stats: TransportStats::default(),
             rng: 0x5EED ^ ((me.0 as u64) << 17),
         };
         // Dial-owned peers without a live connection start in backoff,
         // due immediately — how a restarted replica rejoins its mesh.
-        let now = Instant::now();
         let missing: Vec<(NodeId, SocketAddr)> = t
             .dial_addrs
             .iter()
@@ -718,13 +743,19 @@ impl<M: Codec> TcpTransport<M> {
         TcpConn::new(peer, stream)
     }
 
-    /// Accepts one connection from `listener` and reads its hello frame
-    /// to learn the dialer's identity. Blocks for at most
-    /// [`HELLO_TIMEOUT`] on the hello read — during setup the dialer's
-    /// hello is already in flight, and at runtime (a reconnecting peer)
-    /// it was written before the connect was observable here.
+    /// Accepts one connection from `listener` (blocking during setup)
+    /// and completes its [`handshake`](Self::handshake).
     fn accept(listener: &TcpListener) -> std::io::Result<TcpConn> {
-        let (mut stream, _) = listener.accept()?;
+        let (stream, _) = listener.accept()?;
+        Self::handshake(stream)
+    }
+
+    /// Reads an accepted connection's hello frame to learn the dialer's
+    /// identity. Blocks for at most [`HELLO_TIMEOUT`] — during setup the
+    /// dialer's hello is already in flight, and at runtime (a
+    /// reconnecting peer) it was written before the connect was
+    /// observable here.
+    fn handshake(mut stream: TcpStream) -> std::io::Result<TcpConn> {
         stream.set_read_timeout(Some(HELLO_TIMEOUT))?;
         let mut header = [0u8; wire::FRAME_HEADER + 2];
         stream.read_exact(&mut header)?;
@@ -779,11 +810,12 @@ impl<M: Codec> TcpTransport<M> {
 
     /// The connection-lifecycle maintenance pass, run from every
     /// [`flush`](Transport::flush) and [`pump`](Transport::pump):
-    /// reaps dead connection slots, fires due redials, and sweeps the
-    /// listener for inbound (re)connections. With nothing broken this
-    /// is a scan of the (tiny) conn table plus one nonblocking
-    /// `accept(2)` on listener-owning transports — no allocation, no
-    /// time syscalls beyond the ones the event loop already makes.
+    /// reaps dead connection slots, fires due redials, and — at most
+    /// once per [`ACCEPT_EVERY`] — sweeps the listener for inbound
+    /// (re)connections. With nothing broken this is a scan of the
+    /// (tiny) conn table, plus a clock read on listener-owning
+    /// transports and one nonblocking `accept(2)` per interval — no
+    /// allocation, and no IO syscall on the passes in between.
     fn maintain(&mut self) {
         // Reap: a dead slot either moves its peer to backoff (we dialed
         // it) or is simply dropped (the peer will redial our listener).
@@ -848,29 +880,37 @@ impl<M: Codec> TcpTransport<M> {
                 }
             }
         }
-        // Accept: install inbound (re)connections, superseding any
-        // stale slot for the same peer.
-        if let Some(listener) = &self.listener {
-            loop {
-                match Self::accept(listener) {
-                    Ok(conn) => {
-                        if let Some(stale) = self.conns.iter().position(|c| c.peer == conn.peer) {
-                            self.conns.swap_remove(stale);
-                            self.next_read = 0;
-                        }
-                        // A redialing peer supersedes our own backoff
-                        // entry for it too (both sides may dial in a
-                        // symmetric pair harness).
-                        self.backoff.retain(|r| r.peer != conn.peer);
-                        self.conns.push(conn);
-                        self.stats.reconnects += 1;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    // A dialer that connected and hung up (or spoke a
-                    // bad hello): ignore it and keep sweeping.
-                    Err(_) => break,
-                }
+        // Accept: on the sweep timer, install inbound (re)connections,
+        // superseding any stale slot for the same peer.
+        let Some(listener) = &self.listener else {
+            return;
+        };
+        let now = Instant::now();
+        if now < self.next_accept {
+            return;
+        }
+        self.next_accept = now + ACCEPT_EVERY;
+        loop {
+            self.stats.accept_polls += 1;
+            // An empty backlog (`WouldBlock`) or a listener error such
+            // as `EMFILE` ends the sweep; retrying now would only spin.
+            let Ok((stream, _)) = listener.accept() else {
+                break;
+            };
+            // A dialer that connected and hung up, or spoke a bad
+            // hello: drop it and move on to the next pending connection.
+            let Ok(conn) = Self::handshake(stream) else {
+                continue;
+            };
+            if let Some(stale) = self.conns.iter().position(|c| c.peer == conn.peer) {
+                self.conns.swap_remove(stale);
+                self.next_read = 0;
             }
+            // A redialing peer supersedes our own backoff entry for it
+            // too (both sides may dial in a symmetric pair harness).
+            self.backoff.retain(|r| r.peer != conn.peer);
+            self.conns.push(conn);
+            self.stats.reconnects += 1;
         }
     }
 
@@ -894,6 +934,13 @@ impl<M: Codec> TcpTransport<M> {
     /// Peers currently between connections, waiting on a redial.
     pub fn backoff_count(&self) -> usize {
         self.backoff.len()
+    }
+
+    /// The address this endpoint's listener is bound to, if it keeps
+    /// one (replica transports and the acceptor side of
+    /// [`pair`](Self::pair)) — where a peer redials after a link dies.
+    pub fn listen_addr(&self) -> Option<SocketAddr> {
+        self.listener.as_ref().and_then(|l| l.local_addr().ok())
     }
 
     /// Test hook: queues a syntactically valid frame whose payload does
@@ -1155,4 +1202,32 @@ pub(crate) fn client_transport<M: Codec>(
     }
     let dial_addrs: BTreeMap<NodeId, SocketAddr> = replicas.iter().copied().collect();
     Ok(TcpTransport::new(me, conns, dial_addrs, None))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pins the hot-path regression class: an idle acceptor's event
+    /// loop may spin as fast as the machine allows, but its listener is
+    /// swept once per [`ACCEPT_EVERY`], so `accept(2)` calls track wall
+    /// time, never the number of flush/pump passes.
+    #[test]
+    fn idle_acceptor_sweeps_listener_per_interval_not_per_pass() {
+        let start = Instant::now();
+        let (_dialer, mut acceptor) =
+            TcpTransport::<u64>::pair(NodeId(0), NodeId(1)).expect("loopback pair");
+        for _ in 0..10_000 {
+            acceptor.flush();
+            acceptor.pump();
+        }
+        let elapsed = start.elapsed();
+        let polls = acceptor.stats().accept_polls;
+        let bound = (elapsed.as_nanos() / ACCEPT_EVERY.as_nanos()) as u64 + 2;
+        assert!(polls >= 1, "the first pass never swept the listener");
+        assert!(
+            polls <= bound,
+            "{polls} accept polls in {elapsed:?} over 10k passes (bound {bound})"
+        );
+    }
 }

@@ -4,11 +4,12 @@
 //! A killed or corrupted link must be (1) reaped — the conn-slot table
 //! stays bounded by the peer count, no graveyard of terminal slots —
 //! and (2) re-established, by backoff redial on the side that owns the
-//! dial and by the nonblocking accept sweep on the side that owns the
-//! listener. Frames lost across the gap are covered by the documented
+//! dial and by the timed, nonblocking accept sweep on the side that owns
+//! the listener. Frames lost across the gap are covered by the documented
 //! may-drop/at-most-once delivery contract, which is what lets these
 //! tests simply re-send a probe until one crosses.
 
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use onepaxos::{NodeId, Op};
@@ -135,6 +136,57 @@ fn corrupt_frame_kill_heals_and_unrelated_topics_resume() {
     assert!(a.reconnects >= 1, "no repair counted: {a:?}");
     assert_eq!(acceptor.conn_count(), 1);
     assert_eq!(dialer.conn_count(), 1);
+}
+
+/// Satellite regression: a rogue dialer that connects and hangs up
+/// without a hello sits in the listener backlog *ahead of* the real
+/// peer's redial. One accept sweep must drop the rogue and still adopt
+/// the peer behind it — a failed handshake moves the sweep on instead
+/// of ending it, so the good connection never waits an extra interval.
+#[test]
+fn rogue_dialer_without_hello_does_not_block_adoption() {
+    let (mut dialer, mut acceptor) =
+        TcpTransport::<u64>::pair(DIALER, ACCEPTOR).expect("loopback pair");
+    drive_until_delivered(&mut dialer, &mut acceptor, ACCEPTOR, 0, 0);
+    let addr = acceptor.listen_addr().expect("acceptor keeps its listener");
+
+    // Cut the link from the acceptor side; only the dialer may redial.
+    acceptor.kill_peer_link(DIALER);
+    assert_eq!(acceptor.conn_count(), 0);
+
+    // The rogue lands in the backlog first, and closes without a hello.
+    drop(TcpStream::connect(addr).expect("rogue connect"));
+
+    // The dialer sees EOF and redials; its connect completes in the
+    // listener backlog, behind the rogue, before the acceptor sweeps.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while dialer.stats().reconnects == 0 {
+        dialer.pump();
+        dialer.flush();
+        assert!(Instant::now() < deadline, "dialer never redialed");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+
+    // Past the sweep interval, a single pass adopts the real peer.
+    std::thread::sleep(Duration::from_millis(20));
+    let before = acceptor.stats();
+    acceptor.pump();
+    let after = acceptor.stats();
+    assert_eq!(
+        acceptor.conn_count(),
+        1,
+        "the rogue ended the sweep before the real peer: {after:?}"
+    );
+    assert_eq!(after.reconnects, before.reconnects + 1);
+    assert!(
+        after.accept_polls >= before.accept_polls + 3,
+        "expected rogue, peer and empty-backlog polls: {before:?} -> {after:?}"
+    );
+
+    // The adopted connection carries traffic both ways.
+    drive_until_delivered(&mut dialer, &mut acceptor, ACCEPTOR, 0, 1_000);
+    drive_until_delivered(&mut acceptor, &mut dialer, DIALER, 0, 2_000);
+    assert_eq!(acceptor.conn_count(), 1);
 }
 
 /// Satellite regression: a client parked in `recv_from_deadline`'s
