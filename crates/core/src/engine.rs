@@ -52,6 +52,15 @@
 //! real client never observes a commit acknowledgement without its read
 //! value — the threaded runtime's contract.
 //!
+//! A reply whose request is already *superseded* — the client's session
+//! has applied a newer request, so the [`Applier`] retired the older
+//! output — is dropped instead of held, and counted in
+//! [`EngineStats::superseded_replies`]. Its output will never exist
+//! again, and no client waits for it: a client sends a newer request
+//! only once it no longer needs the older reply (a 2PC coordinator's
+//! fire-and-forget outcome leg followed by its next prepare, both
+//! applied from one batch, is the case that arises).
+//!
 //! # Batching
 //!
 //! Per-message tx/rx CPU cost — not propagation — is the throughput
@@ -406,6 +415,14 @@ pub struct EngineStats {
     /// Finished-transaction outcomes retained by the state machine
     /// (bounded per coordinator by [`crate::kv::FINISHED_WINDOW`]).
     pub finished_len: usize,
+    /// Replies held under [`ReplyMode::AfterApply`] until their output
+    /// is applied (see [`ReplicaEngine::deferred_replies`]). Bounded by
+    /// the requests in flight above an apply gap.
+    pub deferred_replies: usize,
+    /// Replies dropped because the client's session had already applied
+    /// a newer request, so the output was retired and no client waits
+    /// for it (see the module docs, "Replies").
+    pub superseded_replies: u64,
 }
 
 impl EngineStats {
@@ -442,6 +459,8 @@ impl EngineStats {
         self.applied_log_len += other.applied_log_len;
         self.outputs_len += other.outputs_len;
         self.finished_len += other.finished_len;
+        self.deferred_replies += other.deferred_replies;
+        self.superseded_replies += other.superseded_replies;
     }
 }
 
@@ -940,6 +959,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         s.gap_backlog = self.applier.gap_backlog();
         s.applied_log_len = self.applier.applied_log().len();
         s.outputs_len = self.applier.outputs_len();
+        s.deferred_replies = self.deferred.len();
         s
     }
 
@@ -1267,7 +1287,13 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         }
         let value = self.applier.output_of(client, req_id).cloned();
         if value.is_none() && self.reply_mode == ReplyMode::AfterApply {
-            self.deferred.push((client, req_id, instance));
+            if self.applier.superseded(client, req_id) {
+                // The output was retired by a newer request from the same
+                // client; it will never exist again, and nobody waits.
+                self.stats.superseded_replies += 1;
+            } else {
+                self.deferred.push((client, req_id, instance));
+            }
             return;
         }
         if self.record_history {
@@ -1288,7 +1314,8 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
 
     /// Retries deferred replies after new commands were applied. Each is
     /// re-run through [`Self::reply`], which emits it when the output now
-    /// exists and re-defers it otherwise.
+    /// exists, drops it when a newer request superseded it, and re-defers
+    /// it otherwise.
     fn flush_deferred(&mut self, effects: &mut Vec<EngineEffect<P::Msg, S::Output>>) {
         if self.deferred.is_empty() {
             return;
@@ -1431,7 +1458,9 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
     }
 
     /// Replies currently waiting for the state machine to catch up
-    /// (only non-empty under [`ReplyMode::AfterApply`]).
+    /// (only non-empty under [`ReplyMode::AfterApply`]). A reply already
+    /// superseded by the client's newer request is dropped rather than
+    /// held, so this stays bounded by the requests in flight.
     pub fn deferred_replies(&self) -> usize {
         self.deferred.len()
     }
@@ -1899,6 +1928,31 @@ mod tests {
             .expect("deferred reply released");
         assert_eq!(reply, (2, Some(Some(60)))); // Put returns prior value
         assert_eq!(e.deferred_replies(), 0);
+    }
+
+    #[test]
+    fn after_apply_drops_replies_superseded_inside_one_batch() {
+        // One client's request n and request n+1 (a 2PC outcome leg and
+        // the next prepare) travel in one advocated batch. Applying n+1
+        // retires n's output, so n's reply can never carry a value: it
+        // must be dropped and counted, not parked forever.
+        let mut e =
+            ReplicaEngine::with_reply_mode(Deciding::new(), KvStore::new(), ReplyMode::AfterApply)
+                .with_batching(BatchConfig::new(2, 1_000));
+        request(&mut e, 9, 1, Op::Put { key: 4, value: 40 }, 0);
+        let fx = request(&mut e, 9, 2, Op::Put { key: 4, value: 41 }, 0);
+        assert_eq!(e.node().requests.len(), 1, "both requests in one batch");
+        assert_eq!(e.deferred_replies(), 0, "superseded reply parked");
+        let replies: Vec<_> = fx
+            .iter()
+            .filter_map(|f| match f {
+                EngineEffect::ReplyTo { req_id, value, .. } => Some((*req_id, *value)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(replies, vec![(2, Some(Some(40)))]); // Put returns prior value
+        assert_eq!(e.stats().superseded_replies, 1);
+        assert_eq!(e.stats().deferred_replies, 0);
     }
 
     #[test]

@@ -224,22 +224,22 @@ impl<S: StateMachine> Applier<S> {
 
     fn apply_one(&mut self, cmd: Command) {
         if let Op::Batch(cmds) = &cmd.op {
-            for inner in cmds.clone().iter() {
+            for inner in cmds.iter() {
                 debug_assert!(
                     !matches!(inner.op, Op::Batch(_)),
                     "nested batch decided in the log"
                 );
-                self.apply_single(inner.clone());
+                self.apply_single(inner);
             }
         } else {
-            self.apply_single(cmd.clone());
+            self.apply_single(&cmd);
         }
         self.applied_log.push(cmd);
     }
 
     /// Applies one non-batch command under the per-client at-most-once
     /// rule, recording its output for reply lookup.
-    fn apply_single(&mut self, cmd: Command) {
+    fn apply_single(&mut self, cmd: &Command) {
         let dup = self
             .sessions
             .get(&cmd.client)
@@ -326,6 +326,16 @@ impl<S: StateMachine> Applier<S> {
         self.outputs.get(&(client, req_id))
     }
 
+    /// Whether `client`'s session has already applied a request newer
+    /// than `req_id`. The output of such a request is retired (one is
+    /// kept per client), and no client waits for it: a client only sends
+    /// a newer request once it no longer needs the older reply.
+    pub fn superseded(&self, client: NodeId, req_id: u64) -> bool {
+        self.sessions
+            .get(&client)
+            .is_some_and(|&(last, _)| req_id < last)
+    }
+
     /// The retained applied command log, starting at [`Self::log_base`]
     /// (for cross-replica consistency checks).
     pub fn applied_log(&self) -> &[Command] {
@@ -398,6 +408,28 @@ mod tests {
         assert_eq!(a.output_of(NodeId(2), 1), Some(&Some(30)));
         assert_eq!(a.output_of(NodeId(1), 2), Some(&Some(30)));
         assert_eq!(a.state().get(3), Some(31));
+    }
+
+    #[test]
+    fn superseded_means_a_newer_request_was_applied() {
+        let mut a = Applier::new(KvStore::new());
+        assert!(!a.superseded(NodeId(1), 1), "no session yet");
+        a.on_decided(
+            0,
+            Command::batch(
+                NodeId(0),
+                1,
+                vec![
+                    cmd(1, 1, Op::Noop),
+                    cmd(1, 2, Op::Put { key: 3, value: 30 }),
+                ],
+            ),
+        );
+        assert!(a.superseded(NodeId(1), 1));
+        assert_eq!(a.output_of(NodeId(1), 1), None, "retired output");
+        assert!(!a.superseded(NodeId(1), 2), "the latest request");
+        assert!(!a.superseded(NodeId(1), 3), "not applied yet");
+        assert!(!a.superseded(NodeId(2), 1), "other client");
     }
 
     #[test]

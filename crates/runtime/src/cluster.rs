@@ -101,6 +101,10 @@ pub struct NodeMetrics {
     /// timed sweep per accept interval, so the rate tracks wall time,
     /// not event-loop iterations.
     pub accept_polls: AtomicU64,
+    /// Frames this replica's transport dropped at send because the
+    /// destination's backlog was full (in-process transport only; the
+    /// receiver catches up by retransmission or snapshot install).
+    pub shed: AtomicU64,
     /// State snapshots this replica served to catching-up peers.
     pub snapshots_served: AtomicU64,
     /// State snapshots this replica installed — each one a catch-up
@@ -124,6 +128,11 @@ pub struct NodeMetrics {
     /// Finished-transaction records retained, summed over shard groups
     /// (bounded by the per-coordinator GC window).
     pub finished_len: AtomicU64,
+    /// Client replies held until their command is applied, summed over
+    /// shard groups. Bounded by the requests in flight above an apply
+    /// gap; a reply superseded by the client's newer request is dropped,
+    /// not held, so this never grows with history.
+    pub deferred_replies: AtomicU64,
 }
 
 /// Builder for a threaded cluster.
@@ -686,7 +695,8 @@ fn dispatch_effects<P: Protocol, T: Transport<P::Msg>>(
 /// metrics block, so callers outside the replica thread can watch the
 /// adaptive batch depth move — and, for the bounded-memory gates, the
 /// retained-state gauges (applied log, retired outputs, finished-txn
-/// records, gap backlog) that must stay flat under periodic truncation.
+/// records, gap backlog, deferred replies) that must stay flat under
+/// periodic truncation.
 fn publish_engine_stats(stats: &EngineStats, metrics: &NodeMetrics) {
     metrics
         .batch_flushes
@@ -709,12 +719,15 @@ fn publish_engine_stats(stats: &EngineStats, metrics: &NodeMetrics) {
     metrics
         .finished_len
         .store(stats.finished_len as u64, Ordering::Relaxed);
+    metrics
+        .deferred_replies
+        .store(stats.deferred_replies as u64, Ordering::Relaxed);
 }
 
 /// Republishes a replica transport's lifecycle counters into its shared
 /// metrics block, so the chaos harness (and operators) can assert that
-/// links actually died and actually healed, and see how often the
-/// listener is swept.
+/// links actually died and actually healed, see how often the listener
+/// is swept, and see how many frames a full backlog shed.
 fn publish_transport_stats(stats: &TransportStats, metrics: &NodeMetrics) {
     metrics
         .reconnects
@@ -728,6 +741,7 @@ fn publish_transport_stats(stats: &TransportStats, metrics: &NodeMetrics) {
     metrics
         .accept_polls
         .store(stats.accept_polls, Ordering::Relaxed);
+    metrics.shed.store(stats.shed, Ordering::Relaxed);
 }
 
 /// Deployment knobs a replica loop needs beyond its engines, bundled so
@@ -818,10 +832,11 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
     loop {
         let mut progressed = io.flush();
         // Lifecycle counters move outside the request path (a link
-        // dying or healing, a timed accept sweep, is not "progress"), so
-        // compare-and-republish every iteration; `TransportStats` is
-        // `Copy`, the comparison is four integer equality checks, and
-        // `accept_polls` moves at most once per accept interval.
+        // dying or healing, a timed accept sweep, a shed frame is not
+        // "progress"), so compare-and-republish every iteration;
+        // `TransportStats` is `Copy`, the comparison is five integer
+        // equality checks, and `accept_polls` moves at most once per
+        // accept interval.
         let io_stats = io.stats();
         if io_stats != last_io {
             publish_transport_stats(&io_stats, &metrics);

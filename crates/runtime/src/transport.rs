@@ -36,9 +36,10 @@ use crate::wire::Wire;
 /// A peer address on the wire: who, on which shard-group topic.
 pub type Peer = (NodeId, u16);
 
-/// Counters a transport keeps about its own connection lifecycle,
-/// surfaced so deployments can observe failure handling (the replica
-/// loop republishes them into [`crate::NodeMetrics`]).
+/// Counters a transport keeps about its own connection lifecycle and
+/// the frames it drops, surfaced so deployments can observe failure
+/// handling (the replica loop republishes them into
+/// [`crate::NodeMetrics`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TransportStats {
     /// Connections re-established after a failure: successful redials
@@ -57,6 +58,11 @@ pub struct TransportStats {
     /// empty, so on an idle endpoint this grows with wall time, never
     /// with event-loop passes.
     pub accept_polls: u64,
+    /// Frames dropped at send because the destination's backlog was
+    /// full (the in-process transport caps each `(peer, topic)` backlog;
+    /// see [`MemTransport`]). A lagging receiver recovers through the
+    /// protocols' retransmissions and snapshot catch-up.
+    pub shed: u64,
 }
 
 /// The IO boundary the replica loop and client handles are written
@@ -71,10 +77,13 @@ pub struct TransportStats {
 ///   one topic arrive in send order. Order across topics or across
 ///   senders is unspecified.
 /// * **At-most-once delivery** — a transport never duplicates a
-///   message. It may *drop* messages (a full queue whose sender exits, a
-///   closed socket): every protocol in the tree already tolerates loss
-///   through retransmission timers, but none tolerates duplication of
-///   its client requests without the engines' dedup records.
+///   message. It may *drop* messages (a full backlog that sheds new
+///   frames, a full queue whose sender exits, a closed socket), and
+///   counts the drops it makes itself in [`TransportStats`]: every
+///   protocol in the tree already tolerates loss through retransmission
+///   timers (a replica that falls too far behind catches up by snapshot
+///   install), but none tolerates duplication of its client requests
+///   without the engines' dedup records.
 /// * **Non-blocking** — [`send`](Transport::send) buffers instead of
 ///   blocking when the link is busy ([`flush`](Transport::flush)
 ///   retries), and [`recv`](Transport::recv) returns `None` instead of
@@ -161,8 +170,8 @@ pub trait Transport<M>: Send {
         self.recv_deadline(deadline)
     }
 
-    /// The transport's connection-lifecycle counters. Queue transports
-    /// have no connections to lose; the default is all-zero.
+    /// The transport's connection-lifecycle and shed counters. The
+    /// default is all-zero, for transports with nothing to count.
     fn stats(&self) -> TransportStats {
         TransportStats::default()
     }
@@ -223,11 +232,24 @@ pub const IDLE_NAP_CEIL: Duration = Duration::from_micros(250);
 /// `(peer, topic)` link — exactly the runtime's original IO layer, now
 /// behind the trait. Overflow on a full 7-slot queue is buffered at the
 /// sender so the event loop never blocks.
+///
+/// The buffer is bounded: once a link's backlog holds [`MEM_BACKLOG_CAP`]
+/// frames, further sends to that link are shed (dropped and counted in
+/// [`TransportStats::shed`]) until the receiver drains. Without the cap a
+/// receiver slower than its sender — a passive learner on an
+/// oversubscribed machine — grows the sender's memory without bound;
+/// with it the receiver simply falls behind and rejoins through the
+/// gap → snapshot-request → install path.
 pub struct MemTransport<M> {
     senders: BTreeMap<Peer, Sender<Wire<M>>>,
     backlog: BTreeMap<Peer, VecDeque<Wire<M>>>,
     mailbox: Mailbox<Peer, Wire<M>>,
+    stats: TransportStats,
 }
+
+/// Frames a [`MemTransport`] buffers per `(peer, topic)` link behind a
+/// full queue before it sheds new sends.
+const MEM_BACKLOG_CAP: usize = 1024;
 
 impl<M> MemTransport<M> {
     /// A connected pair of single-peer shared-memory transports with
@@ -263,6 +285,7 @@ impl<M> MemTransport<M> {
             senders,
             backlog: BTreeMap::new(),
             mailbox,
+            stats: TransportStats::default(),
         }
     }
 }
@@ -285,8 +308,10 @@ impl<M: Send> Transport<M> for MemTransport<M> {
             if let Err(qc_channel::Full(m)) = tx.try_send(msg) {
                 back.push_back(m);
             }
-        } else {
+        } else if back.len() < MEM_BACKLOG_CAP {
             back.push_back(msg);
+        } else {
+            self.stats.shed += 1;
         }
     }
 
@@ -310,6 +335,10 @@ impl<M: Send> Transport<M> for MemTransport<M> {
 
     fn recv(&mut self) -> Option<(Peer, Wire<M>)> {
         self.mailbox.poll()
+    }
+
+    fn stats(&self) -> TransportStats {
+        self.stats
     }
 }
 
@@ -1229,5 +1258,46 @@ mod tests {
             polls <= bound,
             "{polls} accept polls in {elapsed:?} over 10k passes (bound {bound})"
         );
+    }
+
+    /// A receiver that stops draining costs its sender at most
+    /// [`MEM_BACKLOG_CAP`] buffered frames: later sends are shed and
+    /// counted, the frames that got through arrive in FIFO order, and the
+    /// link carries traffic again once the receiver catches up.
+    #[test]
+    fn mem_backlog_sheds_past_the_cap_and_counts_the_drops() {
+        let (mut tx, mut rx) = MemTransport::<u64>::pair(NodeId(0), NodeId(1), 1);
+        let sent = 3 * MEM_BACKLOG_CAP as u64;
+        for i in 0..sent {
+            tx.send(NodeId(1), 0, Wire::Peer(i));
+        }
+        let shed = tx.stats().shed;
+        assert!(shed > 0, "nothing shed past the cap");
+        let mut got = Vec::new();
+        loop {
+            let pending = tx.flush();
+            while let Some((from, wire)) = rx.recv() {
+                assert_eq!(from, (NodeId(0), 0));
+                match wire {
+                    Wire::Peer(i) => got.push(i),
+                    _ => panic!("unexpected frame kind"),
+                }
+            }
+            if !pending {
+                break;
+            }
+        }
+        assert!(got.len() >= MEM_BACKLOG_CAP, "only {} delivered", got.len());
+        assert_eq!(
+            got,
+            (0..got.len() as u64).collect::<Vec<_>>(),
+            "FIFO prefix"
+        );
+        assert_eq!(shed, sent - got.len() as u64, "every drop counted");
+        // Drained: the link accepts and delivers again, shedding nothing.
+        tx.send(NodeId(1), 0, Wire::Peer(sent));
+        tx.flush();
+        assert!(matches!(rx.recv(), Some((_, Wire::Peer(i))) if i == sent));
+        assert_eq!(tx.stats().shed, shed);
     }
 }

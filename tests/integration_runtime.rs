@@ -469,3 +469,72 @@ fn txn_put_relaxed_reads_wait_out_the_lock_window() {
     }
     cluster.shutdown();
 }
+
+#[test]
+fn txn_fan_out_under_adaptive_batching_keeps_deferred_replies_bounded() {
+    use consensus_inside::onepaxos::{ShardRouter, TxnOutcome};
+    use std::sync::atomic::Ordering;
+    // A coordinator's fire-and-forget outcome leg and its next prepare
+    // can share one adaptive batch; applying the prepare retires the
+    // outcome leg's output. That reply must be dropped, not parked: the
+    // deferred-reply gauge has to stay O(clients), never grow with the
+    // transaction count.
+    const CLIENTS: usize = 2;
+    const TXNS: u64 = 2_000;
+    let t = one_timing();
+    let (cluster, clients) = ClusterBuilder::new(3, move |m: &[NodeId], me| {
+        OnePaxosNode::with_timing(cfg(m, me), t)
+    })
+    .clients(CLIENTS)
+    .shards(2)
+    .batching(BatchConfig::adaptive(AdaptiveBatch::default()))
+    .spawn();
+    let metrics = cluster.metrics().to_vec();
+    let max_deferred = move || {
+        metrics
+            .iter()
+            .map(|m| m.deferred_replies.load(Ordering::Relaxed))
+            .max()
+    };
+    let router = ShardRouter::new(2);
+    let workers: Vec<_> = clients
+        .into_iter()
+        .enumerate()
+        .map(|(w, mut c)| {
+            let base = 1_000_000 * w as u64;
+            let k0 = base;
+            let k1 = (base + 1..)
+                .find(|&k| router.route_key(k) != router.route_key(k0))
+                .unwrap();
+            let max_deferred = max_deferred.clone();
+            std::thread::spawn(move || {
+                c.set_timeout(Duration::from_secs(5));
+                let mut worst = 0;
+                for i in 0..TXNS {
+                    assert_eq!(
+                        c.txn_put(&[(k0, i), (k1, i)]).expect("commit"),
+                        TxnOutcome::Committed
+                    );
+                    if i % 100 == 0 {
+                        worst = worst.max(max_deferred().unwrap_or(0));
+                    }
+                }
+                assert_eq!(c.get(k0).expect("read"), Some(TXNS - 1));
+                assert_eq!(c.get(k1).expect("read"), Some(TXNS - 1));
+                worst
+            })
+        })
+        .collect();
+    let worst = workers
+        .into_iter()
+        .map(|w| w.join().unwrap())
+        .max()
+        .unwrap_or(0)
+        .max(max_deferred().unwrap_or(0));
+    assert!(
+        worst <= 2 * CLIENTS as u64,
+        "{worst} deferred replies after {} fan-out-2 txns",
+        CLIENTS as u64 * TXNS
+    );
+    cluster.shutdown();
+}
